@@ -39,7 +39,7 @@ from repro.census.pool import (
     CrashIsolatedPool,
     TaskOutcome,
 )
-from repro.engine.metrics import METRICS, snapshot_delta, trace
+from repro.engine.metrics import METRICS, snapshot_delta
 from repro.obs.spans import TRACER, span
 
 #: Environment hook for the crash-isolation acceptance tests: set to
@@ -219,18 +219,16 @@ def _measure(text: str) -> dict:
     within each worker.
     """
     from repro.core.classifier import default_alphabet
-    from repro.engine.cache import cached_classify_formula, cached_formula_to_nba
+    from repro.engine.cache import cached_classify_formula, cached_formula_chain
     from repro.logic.parser import parse_formula
-    from repro.omega.reduce import quotient_reduce
-    from repro.omega.safra import determinize
 
     _apply_poison(text)
     formula = parse_formula(text)
     alphabet = default_alphabet(formula)
     report = cached_classify_formula(formula, alphabet)
-    nba = cached_formula_to_nba(formula, alphabet)
-    dra = determinize(nba)
-    quotient = quotient_reduce(dra)
+    # A hit whenever classification took the general route; otherwise the
+    # one run of the chain this formula gets.
+    chain = cached_formula_chain(formula, alphabet)
     membership = report.semantic.membership
     from repro.core.classes import TemporalClass
 
@@ -250,9 +248,9 @@ def _measure(text: str) -> dict:
         "normal_form": (
             report.syntactic.normal_form.value if report.syntactic.normal_form else ""
         ),
-        "nba_states": nba.num_states,
-        "dra_states": dra.num_states,
-        "quotient_states": quotient.num_states,
+        "nba_states": chain.nba_states,
+        "dra_states": chain.dra_states,
+        "quotient_states": chain.quotient_states,
         "automaton_states": report.automaton.num_states,
     }
 
@@ -367,15 +365,11 @@ def run_census(
             METRICS.counter(f"census.rows.{row.status}").inc()
             if on_row is not None:
                 on_row(row)
-        run_span.set_attribute("ok", all(row.ok for row in rows))
+        ok_rows = sum(1 for row in rows if row.ok)
+        run_span.set_attribute("ok", ok_rows == len(rows))
+        run_span.set_attribute("ok_rows", ok_rows)
     wall = time.perf_counter() - start
     METRICS.timer("census.run").observe(wall)
-    trace(
-        "census.run",
-        formulas=len(entries),
-        ok=sum(1 for row in rows if row.ok),
-        seconds=wall,
-    )
     return CensusReport(
         rows=rows, wall_seconds=wall, jobs=0 if serial else jobs_used, timeout=timeout
     )

@@ -9,14 +9,17 @@ deterministic ω-automaton, preferring the paper's own constructions:
 * conjunctions of simple obligation / simple reactivity formulae become
   multi-pair Streett automata on products of testers;
 * everything else takes the general pipeline: GPVW tableau → NBA → Safra →
-  deterministic Rabin.
+  deterministic Rabin → quotient (:func:`repro.omega.safra.formula_to_dra`).
+  The engine's cached wrappers swap in their memoized copy of that chain,
+  :func:`repro.engine.cache.cached_formula_chain`.
 
 ``classify_formula`` then runs the §5.1 decision procedures and returns the
-combined semantic + syntactic report.
+combined semantic + syntactic report, assembled by :func:`build_report`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.classes import TemporalClass, Verdict
@@ -161,8 +164,17 @@ def _simple_obligation_pair(conjunct: Formula, alphabet: Alphabet) -> DetAutomat
     )
 
 
-def formula_to_automaton(formula: Formula, alphabet: Alphabet | None = None) -> DetAutomaton:
-    """Compile a formula to a deterministic ω-automaton over ``alphabet``."""
+def formula_to_automaton(
+    formula: Formula,
+    alphabet: Alphabet | None = None,
+    *,
+    general: Callable[[Formula, Alphabet], DetAutomaton] | None = None,
+) -> DetAutomaton:
+    """Compile a formula to a deterministic ω-automaton over ``alphabet``.
+
+    ``general`` builds the automaton when no tester route applies; it
+    defaults to the uncached :func:`repro.omega.safra.formula_to_dra`.
+    """
     alphabet = alphabet or default_alphabet(formula)
 
     # Fast paths: the paper's normal forms via Prop 5.3 testers.
@@ -187,9 +199,10 @@ def formula_to_automaton(formula: Formula, alphabet: Alphabet | None = None) -> 
             result = result.intersection(_simple_obligation_pair(conjunct, alphabet))
         return result
 
-    from repro.omega.safra import formula_to_dra
+    if general is None:
+        from repro.omega.safra import formula_to_dra as general
 
-    return formula_to_dra(formula, alphabet)
+    return general(formula, alphabet)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,37 +244,19 @@ class FormulaReport:
         return "\n".join(lines)
 
 
-def classify_formula(formula: Formula, alphabet: Alphabet | None = None) -> FormulaReport:
-    """Compile and fully classify a formula (the library's headline call).
+def build_report(
+    formula: Formula, alphabet: Alphabet, automaton: DetAutomaton
+) -> FormulaReport:
+    """Run the §5.1 checks and Wagner measurements on ``automaton``, the
+    deterministic automaton of ``formula`` over ``alphabet``.
 
-    Pure and uncached; heavy/repetitive traffic should go through
-    :func:`repro.engine.cache.cached_classify_formula` or the batch
-    :class:`repro.engine.batch.EvaluationEngine`, which memoize this work.
+    Uniform liveness is ``None`` where the check cannot decide it.
     """
-    import time
-
-    from repro.engine.metrics import METRICS, trace
-    from repro.obs.spans import span
-
-    with span("classifier.classify_formula") as obs_span:
-        start = time.perf_counter()
-        alphabet = alphabet or default_alphabet(formula)
-        automaton = formula_to_automaton(formula, alphabet)
-        verdict = classify_automaton(automaton)
-        try:
-            uniform = is_uniform_liveness(automaton) if verdict.is_liveness else False
-        except ClassificationError:
-            uniform = None
-        elapsed = time.perf_counter() - start
-        METRICS.timer("classifier.classify_formula").observe(elapsed)
-        obs_span.set_attribute("states", automaton.num_states)
-        obs_span.set_attribute("canonical", verdict.canonical.value)
-        trace(
-            "classifier.classify_formula",
-            states=automaton.num_states,
-            canonical=verdict.canonical.value,
-            seconds=elapsed,
-        )
+    verdict = classify_automaton(automaton)
+    try:
+        uniform = is_uniform_liveness(automaton) if verdict.is_liveness else False
+    except ClassificationError:
+        uniform = None
     return FormulaReport(
         formula=formula,
         alphabet=alphabet,
@@ -272,3 +267,26 @@ def classify_formula(formula: Formula, alphabet: Alphabet | None = None) -> Form
         obligation_degree=obligation_degree(automaton),
         is_uniform_liveness=uniform,
     )
+
+
+def classify_formula(formula: Formula, alphabet: Alphabet | None = None) -> FormulaReport:
+    """Compile and fully classify a formula (the library's headline call).
+
+    Pure and uncached; heavy/repetitive traffic should go through
+    :func:`repro.engine.cache.cached_classify_formula` or the batch
+    :class:`repro.engine.batch.EvaluationEngine`, which memoize the report
+    and the general route's GPVW → Safra → quotient chain.
+    """
+    import time
+
+    from repro.engine.metrics import METRICS
+    from repro.obs.spans import span
+
+    with span("classifier.classify_formula") as obs_span:
+        start = time.perf_counter()
+        alphabet = alphabet or default_alphabet(formula)
+        report = build_report(formula, alphabet, formula_to_automaton(formula, alphabet))
+        METRICS.timer("classifier.classify_formula").observe(time.perf_counter() - start)
+        obs_span.set_attribute("states", report.automaton.num_states)
+        obs_span.set_attribute("canonical", report.canonical_class.value)
+    return report

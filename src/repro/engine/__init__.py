@@ -3,11 +3,12 @@
 The seed library recomputes every automaton from scratch on each call.
 This package adds the serving layer on top of the algorithms:
 
-* :mod:`repro.engine.metrics` — counters/timers/histograms plus the
-  ``trace`` hook that instruments the GPVW, Safra, emptiness and
-  classifier hot paths;
+* :mod:`repro.engine.metrics` — the counters/timers/histograms the GPVW,
+  Safra, emptiness and classifier hot paths record into (per-call detail
+  lives on their spans, :mod:`repro.obs.spans`);
 * :mod:`repro.engine.cache` — size-bounded LRU caches (with statistics
-  and explicit invalidation) over the expensive constructions;
+  and explicit invalidation) over the expensive constructions, including
+  the one memoized GPVW → Safra → quotient chain;
 * :mod:`repro.engine.batch` — the :class:`EvaluationEngine`: batches of
   jobs, structural deduplication, thread/process fan-out with a serial
   fallback;
@@ -22,8 +23,8 @@ graph acyclic.
 
 from __future__ import annotations
 
-from repro.engine.cache import CACHES, CacheBank, CacheStats, Interner, LRUCache
-from repro.engine.metrics import METRICS, MetricsRegistry, TraceEvent, timed, trace
+from repro.engine.cache import CACHES, CacheBank, CacheStats, LRUCache
+from repro.engine.metrics import METRICS, MetricsRegistry
 
 _LAZY = {
     "EvaluationEngine": ("repro.engine.batch", "EvaluationEngine"),
@@ -42,13 +43,9 @@ __all__ = [
     "CACHES",
     "CacheBank",
     "CacheStats",
-    "Interner",
     "LRUCache",
     "METRICS",
     "MetricsRegistry",
-    "TraceEvent",
-    "timed",
-    "trace",
     *_LAZY.keys(),
 ]
 

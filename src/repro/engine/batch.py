@@ -29,7 +29,7 @@ from functools import partial
 from typing import Any, Hashable, Sequence
 
 from repro.engine.cache import CACHES, CacheBank, CacheStats, cached_classify_formula, cached_omega_language
-from repro.engine.metrics import METRICS, MetricsRegistry, snapshot_delta, trace
+from repro.engine.metrics import METRICS, MetricsRegistry, snapshot_delta
 from repro.logic.ast import Formula
 from repro.obs.spans import TRACER, SpanContext
 
@@ -406,13 +406,6 @@ class EvaluationEngine:
         self.metrics.timer("engine.batch").observe(wall)
         self.metrics.counter("engine.jobs").inc(len(jobs))
         self.metrics.counter("engine.jobs_deduplicated").inc(len(jobs) - len(unique_order))
-        trace(
-            "engine.batch",
-            jobs=len(jobs),
-            unique=len(unique_order),
-            executor=executor_used,
-            seconds=wall,
-        )
         return BatchReport(
             results=results,
             executor=executor_used,

@@ -11,14 +11,19 @@ over and over.  This module provides the memoization layer:
 * :class:`CacheBank` — a named collection of such caches with a combined
   stats view, so the CLI can print one table;
 * structural key helpers (:func:`formula_key`, :func:`automaton_key`,
-  :func:`dfa_key`) — formulas and automata are interned by *value*, so two
+  :func:`dfa_key`) — formulas and automata are keyed by *value*, so two
   structurally equal requests share one cache line;
-* ``cached_*`` wrappers over the library's expensive entry points
-  (formula→NBA, formula→DRA, DFA minimization, classification, residual
-  non-emptiness), all writing through the global :data:`CACHES` bank.
+* :func:`cached_formula_chain` — the one memoized GPVW → Safra → quotient
+  chain, which the cached classifier's general route and the census both
+  read, so each formula is translated and determinized at most once per
+  bank;
+* ``cached_*`` wrappers over the other expensive entry points
+  (formula→automaton, classification, residual non-emptiness, ω-regular
+  expressions), all writing through the global :data:`CACHES` bank.
 
-The wrappers import the algorithm modules lazily so that
-``repro.core`` → ``repro.engine.metrics`` → ``repro.engine`` never cycles.
+The wrappers import the algorithm modules lazily, at call time, so that
+``repro.core`` → ``repro.engine.metrics`` → ``repro.engine`` never cycles
+and wrappers installed on those modules (profilers) see every call.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.metrics import METRICS
 from repro.obs.spans import annotate
 
 
@@ -160,31 +164,6 @@ class LRUCache:
         return f"LRUCache({self.name}, {s.size}/{s.capacity}, hits={s.hits}, misses={s.misses})"
 
 
-class Interner:
-    """Structural interning: one canonical instance per equal value.
-
-    ``intern(x)`` returns the first object equal to ``x`` ever seen, so
-    downstream identity-keyed caches and ``is`` comparisons collapse
-    structurally equal formulas/automata to one representative.
-    """
-
-    def __init__(self) -> None:
-        self._canon: dict[Hashable, Any] = {}
-        self._lock = threading.Lock()
-
-    def intern(self, value: Hashable) -> Any:
-        with self._lock:
-            return self._canon.setdefault(value, value)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._canon)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._canon.clear()
-
-
 class CacheBank:
     """A named collection of :class:`LRUCache` instances."""
 
@@ -282,71 +261,82 @@ def automaton_key(automaton) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def cached_formula_to_nba(formula, alphabet, *, bank: CacheBank | None = None):
-    """Memoized GPVW translation (``repro.logic.translate.formula_to_nba``)."""
-    from repro.logic.translate import formula_to_nba
+@dataclass(frozen=True, slots=True)
+class ChainEntry:
+    """One formula's pass through GPVW → Safra → quotient.
+
+    Only the reduced automaton is kept: the NBA and the unreduced DRA are
+    dropped once their sizes are recorded, so a cache line costs about what
+    the automaton it serves costs.
+    """
+
+    automaton: Any
+    nba_states: int
+    dra_states: int
+
+    @property
+    def quotient_states(self) -> int:
+        return self.automaton.num_states
+
+
+def cached_formula_chain(formula, alphabet, *, bank: CacheBank | None = None) -> ChainEntry:
+    """Memoized :func:`repro.omega.safra.formula_to_dra`, plus its stage sizes.
+
+    The stages are called one by one, not through ``formula_to_dra``, only
+    to record the intermediate sizes.  Lives in the ``formula_nba`` cache,
+    the bank's name for this stage since it held only the GPVW translation;
+    hit-ratio reports key by that name.
+    """
+
+    def compute() -> ChainEntry:
+        from repro.logic.translate import formula_to_nba
+        from repro.omega.reduce import quotient_reduce
+        from repro.omega.safra import determinize
+
+        nba = formula_to_nba(formula, alphabet)
+        dra = determinize(nba)
+        return ChainEntry(quotient_reduce(dra), nba.num_states, dra.num_states)
 
     cache = (bank or CACHES).cache("formula_nba")
-    return cache.get_or_compute(
-        formula_key(formula, alphabet), lambda: formula_to_nba(formula, alphabet)
-    )
+    return cache.get_or_compute(formula_key(formula, alphabet), compute)
 
 
 def cached_formula_to_automaton(formula, alphabet=None, *, bank: CacheBank | None = None):
-    """Memoized formula → deterministic ω-automaton compilation."""
+    """Memoized formula → deterministic ω-automaton compilation.
+
+    The general route reads :func:`cached_formula_chain` in the same bank.
+    """
     from repro.core.classifier import default_alphabet, formula_to_automaton
 
     alphabet = alphabet or default_alphabet(formula)
-    cache = (bank or CACHES).cache("formula_automaton")
-    return cache.get_or_compute(
-        formula_key(formula, alphabet), lambda: formula_to_automaton(formula, alphabet)
+    bank = bank or CACHES
+
+    def chain(formula, alphabet):
+        return cached_formula_chain(formula, alphabet, bank=bank).automaton
+
+    return bank.cache("formula_automaton").get_or_compute(
+        formula_key(formula, alphabet),
+        lambda: formula_to_automaton(formula, alphabet, general=chain),
     )
 
 
 def cached_classify_formula(formula, alphabet=None, *, bank: CacheBank | None = None):
     """Memoized full classification, sharing the automaton cache.
 
-    The report is rebuilt from the *cached* automaton, so a classification
+    The report is built from the *cached* automaton, so a classification
     request warms the automaton cache for later monitor/model-check jobs on
     the same formula (and vice versa).
     """
-    from repro.core.classes import TemporalClass  # noqa: F401  (report deps)
-    from repro.core.classifier import FormulaReport, default_alphabet
-    from repro.errors import ClassificationError
-    from repro.logic.classes import analyze_syntax
-    from repro.omega.classify import classify as classify_automaton
-    from repro.omega.classify import obligation_degree, streett_index
-    from repro.omega.closure import is_uniform_liveness
+    from repro.core.classifier import build_report, default_alphabet
 
     alphabet = alphabet or default_alphabet(formula)
     bank = bank or CACHES
-    cache = bank.cache("classification")
-
-    def compute() -> FormulaReport:
-        automaton = cached_formula_to_automaton(formula, alphabet, bank=bank)
-        verdict = classify_automaton(automaton)
-        try:
-            uniform = is_uniform_liveness(automaton) if verdict.is_liveness else False
-        except ClassificationError:
-            uniform = None
-        return FormulaReport(
-            formula=formula,
-            alphabet=alphabet,
-            automaton=automaton,
-            semantic=verdict,
-            syntactic=analyze_syntax(formula),
-            streett_index=streett_index(automaton),
-            obligation_degree=obligation_degree(automaton),
-            is_uniform_liveness=uniform,
-        )
-
-    return cache.get_or_compute(formula_key(formula, alphabet), compute)
-
-
-def cached_minimized(dfa, *, bank: CacheBank | None = None):
-    """Memoized DFA minimization (``DFA.minimized``)."""
-    cache = (bank or CACHES).cache("dfa_minimal")
-    return cache.get_or_compute(dfa_key(dfa), dfa.minimized)
+    return bank.cache("classification").get_or_compute(
+        formula_key(formula, alphabet),
+        lambda: build_report(
+            formula, alphabet, cached_formula_to_automaton(formula, alphabet, bank=bank)
+        ),
+    )
 
 
 def cached_nonempty_states(automaton, *, bank: CacheBank | None = None):
@@ -369,12 +359,3 @@ def cached_omega_language(expression: str, alphabet, *, bank: CacheBank | None =
         (expression, alphabet_key(alphabet)),
         lambda: quotient_reduce(omega_language(expression, alphabet)),
     )
-
-
-def record_cache_metrics(bank: CacheBank | None = None) -> None:
-    """Mirror the bank's stats into the global metrics registry."""
-    for name, stats in (bank or CACHES).stats().items():
-        counter = METRICS.counter(f"cache.{name}.hits")
-        counter.inc(stats.hits - counter.value)
-        counter = METRICS.counter(f"cache.{name}.misses")
-        counter.inc(stats.misses - counter.value)

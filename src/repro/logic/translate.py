@@ -208,9 +208,6 @@ def formula_to_nba(formula: Formula, alphabet: Alphabet) -> NBA:
     The result's language is ``Sat(φ)`` restricted to the alphabet; past
     subformulas are handled by composing with the deterministic past tester.
     """
-    import time
-
-    from repro.engine.metrics import METRICS, trace
     from repro.obs.spans import span
 
     with span("gpvw.translate") as obs_span:
@@ -221,7 +218,7 @@ def formula_to_nba(formula: Formula, alphabet: Alphabet) -> NBA:
 def _formula_to_nba(formula: Formula, alphabet: Alphabet, obs_span) -> NBA:
     import time
 
-    from repro.engine.metrics import METRICS, trace
+    from repro.engine.metrics import METRICS
 
     start = time.perf_counter()
     skeleton, past_atoms = _extract_past_atoms(simplify(formula))
@@ -282,17 +279,10 @@ def _formula_to_nba(formula: Formula, alphabet: Alphabet, obs_span) -> NBA:
             acceptance_sets, tester, past_atoms,
         )
     initial = 0
-    elapsed = time.perf_counter() - start
-    METRICS.timer("gpvw.translate").observe(elapsed)
+    METRICS.timer("gpvw.translate").observe(time.perf_counter() - start)
     obs_span.set_attribute("tableau_nodes", len(nodes))
     obs_span.set_attribute("nba_states", len(order))
-    trace(
-        "gpvw.translate",
-        tableau_nodes=len(nodes),
-        nba_states=len(order),
-        past_atoms=len(past_atoms),
-        seconds=elapsed,
-    )
+    obs_span.set_attribute("past_atoms", len(past_atoms))
     return NBA(alphabet, len(order), transitions, [initial], accepting)
 
 

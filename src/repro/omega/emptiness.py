@@ -24,7 +24,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 
-from repro.engine.metrics import METRICS, trace
+from repro.engine.metrics import METRICS
 from repro.obs.spans import span
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.automaton import DetAutomaton
@@ -102,21 +102,11 @@ def nonempty_states(aut: DetAutomaton) -> frozenset[int]:
         if kernel_selected("emptiness", aut.num_states * len(aut.alphabet)):
             from repro.fastpath.scc import nonempty_states_dense
 
-            route = "dense"
             result = nonempty_states_dense(aut)
         else:
-            route = "reference"
             result = can_reach(aut.num_states, accepting_cycle_states(aut), aut.successors)
-        elapsed = time.perf_counter() - start
-        METRICS.timer("emptiness.nonempty_states").observe(elapsed)
+        METRICS.timer("emptiness.nonempty_states").observe(time.perf_counter() - start)
         obs_span.set_attribute("live", len(result))
-        trace(
-            "emptiness.nonempty_states",
-            states=aut.num_states,
-            live=len(result),
-            seconds=elapsed,
-            route=route,
-        )
     return result
 
 

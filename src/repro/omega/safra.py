@@ -142,7 +142,7 @@ def determinize(nba: NBA) -> DetAutomaton:
 def _determinize(nba: NBA, obs_span) -> DetAutomaton:
     import time
 
-    from repro.engine.metrics import METRICS, trace
+    from repro.engine.metrics import METRICS
     from repro.fastpath.config import kernel_selected
 
     start = time.perf_counter()
@@ -154,18 +154,10 @@ def _determinize(nba: NBA, obs_span) -> DetAutomaton:
         result = determinize_dense(nba)
     else:
         result = _determinize_reference(nba)
-    elapsed = time.perf_counter() - start
-    METRICS.timer("safra.determinize").observe(elapsed)
+    METRICS.timer("safra.determinize").observe(time.perf_counter() - start)
     METRICS.histogram("safra.macrostates").observe(result.num_states)
     obs_span.set_attribute("dra_states", result.num_states)
     obs_span.set_attribute("pairs", len(result.acceptance.pairs))
-    trace(
-        "safra.determinize",
-        nba_states=nba.num_states,
-        dra_states=result.num_states,
-        pairs=len(result.acceptance.pairs),
-        seconds=elapsed,
-    )
     return result
 
 
@@ -211,8 +203,9 @@ def _determinize_reference(nba: NBA) -> DetAutomaton:
 
 
 def formula_to_dra(formula, alphabet) -> DetAutomaton:
-    """Convenience: LTL+Past → NBA (GPVW) → deterministic Rabin (Safra),
-    shrunk by the color-respecting quotient."""
+    """LTL+Past → NBA (GPVW) → deterministic Rabin (Safra), shrunk by the
+    color-respecting quotient: the uncached general route of
+    :func:`repro.core.classifier.formula_to_automaton`."""
     from repro.logic.translate import formula_to_nba
     from repro.omega.reduce import quotient_reduce
 

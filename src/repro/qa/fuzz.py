@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.engine.metrics import METRICS, trace
+from repro.engine.metrics import METRICS
 from repro.obs.spans import span
 from repro.qa.generate import GeneratorConfig, coerce_rng
 from repro.qa.oracles import ORACLES, Oracle, oracle_named
@@ -125,14 +125,6 @@ def run_fuzz(
 
     report.wall_seconds = time.perf_counter() - start
     METRICS.timer("qa.fuzz.run").observe(report.wall_seconds)
-    trace(
-        "qa.fuzz.run",
-        seed=seed,
-        budget=budget,
-        cases=report.cases,
-        disagreements=len(report.failures),
-        seconds=report.wall_seconds,
-    )
     return report
 
 
@@ -147,11 +139,13 @@ def _run_cases(
 ) -> None:
     for case_index in range(report.budget):
         oracle = selected[case_index % len(selected)]
-        with span("qa.fuzz.case", oracle=oracle.name, case=case_index), METRICS.timer(
-            "qa.fuzz.case"
-        ).time():
+        with span(
+            "qa.fuzz.case", oracle=oracle.name, case=case_index
+        ) as case_span, METRICS.timer("qa.fuzz.case").time():
             subject = oracle.generate(rng, config)
             detail = oracle.check(subject)
+            if detail is not None:
+                case_span.set_attribute("disagreement", detail)
         report.cases += 1
         report.per_oracle[oracle.name] = report.per_oracle.get(oracle.name, 0) + 1
         METRICS.counter("qa.fuzz.cases").inc()
@@ -173,12 +167,6 @@ def _run_cases(
             ),
         )
         report.failures.append(failure)
-        trace(
-            "qa.fuzz.disagreement",
-            oracle=oracle.name,
-            case=case_index,
-            detail=shrunk_detail,
-        )
         if write_corpus is not None:
             report.artifacts_written.append(
                 write_artifact(failure.shrunk_artifact, Path(write_corpus))

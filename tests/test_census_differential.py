@@ -5,8 +5,9 @@ A ≥150-formula sample of the committed corpus runs through ``run_census``
 and every row is diffed, field by field, against
 
 * a direct single-formula classification through the engine's own entry
-  points (``cached_classify_formula`` / ``cached_formula_to_nba`` plus the
-  Safra and quotient routes) — the exact columns the CSV serializes;
+  point (``cached_classify_formula``), with the size columns recomputed by
+  the uncached GPVW → Safra → quotient route so the oracle never reads the
+  memoized chain it checks — the exact columns the CSV serializes;
 * the qa formula-class oracle's invariants — syntactic soundness, literal
   normal forms, and (for the per-class generated families) membership of
   the class the family was drawn from;
@@ -48,7 +49,8 @@ def test_sample_is_big_enough(sample):
 
 def test_census_rows_bit_match_engine_classification(sample, census_rows):
     from repro.core.classifier import default_alphabet
-    from repro.engine.cache import cached_classify_formula, cached_formula_to_nba
+    from repro.engine.cache import cached_classify_formula
+    from repro.logic.translate import formula_to_nba
     from repro.omega.reduce import quotient_reduce
     from repro.omega.safra import determinize
 
@@ -69,7 +71,7 @@ def test_census_rows_bit_match_engine_classification(sample, census_rows):
         assert row.obligation_degree == report.obligation_degree
         assert row.syntactic == report.syntactic.fragment_class.value
         assert row.automaton_states == report.automaton.num_states
-        nba = cached_formula_to_nba(formula, alphabet)
+        nba = formula_to_nba(formula, alphabet)
         assert row.nba_states == nba.num_states
         dra = determinize(nba)
         assert row.dra_states == dra.num_states

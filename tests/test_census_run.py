@@ -56,6 +56,26 @@ def test_serial_run_classifies_everything(corpus):
         assert row.quotient_states <= row.dra_states
 
 
+def test_measure_runs_the_chain_once_per_formula():
+    """The size columns read the memoized chain the classification filled:
+    one GPVW translation and one Safra determinization, not two."""
+    from repro.census.run import _measure
+    from repro.engine.cache import CACHES
+    from repro.engine.metrics import METRICS
+
+    CACHES.clear()
+    translate = METRICS.timer("gpvw.translate")
+    safra = METRICS.timer("safra.determinize")
+    before = translate.count, safra.count
+    fields = _measure("(G F p -> G F q)")
+    assert (translate.count - before[0], safra.count - before[1]) == (1, 1)
+    assert (fields["nba_states"], fields["dra_states"], fields["quotient_states"]) == (
+        13,
+        135,
+        123,
+    )
+
+
 def test_pool_rows_match_serial_rows_modulo_wall(corpus):
     serial = run_census(corpus, serial=True)
     pooled = run_census(corpus, jobs=2, timeout=60.0)

@@ -5,12 +5,11 @@ import pytest
 from repro.core import classify_formula, formula_to_automaton
 from repro.engine.cache import (
     CacheBank,
-    Interner,
     LRUCache,
     automaton_key,
     cached_classify_formula,
+    cached_formula_chain,
     cached_formula_to_automaton,
-    cached_minimized,
     cached_nonempty_states,
     dfa_key,
     formula_key,
@@ -65,16 +64,6 @@ class TestLRUCache:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             LRUCache("t", capacity=0)
-
-
-class TestInterner:
-    def test_returns_first_equal_instance(self):
-        interner = Interner()
-        first = parse_formula("G (p -> F q)")
-        second = parse_formula("G (p -> F q)")
-        assert first is not second
-        assert interner.intern(first) is interner.intern(second) is first
-        assert len(interner) == 1
 
 
 class TestBank:
@@ -146,14 +135,35 @@ class TestCachedWrappers:
         cached_classify_formula(formula, PQ, bank=bank)
         assert bank.stats()["formula_automaton"].hits == 1
 
-    def test_cached_minimized(self):
+    def test_formula_chain_matches_uncached_pipeline_and_hits(self):
+        from repro.logic.translate import formula_to_nba
+        from repro.omega.reduce import quotient_reduce
+        from repro.omega.safra import determinize
+
         bank = CacheBank()
-        dfa = random_dfa(AB, 30, 7)
-        minimal = cached_minimized(dfa, bank=bank)
-        again = cached_minimized(dfa, bank=bank)
-        assert again is minimal
-        assert minimal.equivalent_to(dfa)
-        assert bank.stats()["dfa_minimal"].hits == 1
+        formula = parse_formula("G F p -> G F q")
+        entry = cached_formula_chain(formula, PQ, bank=bank)
+        nba = formula_to_nba(formula, PQ)
+        dra = determinize(nba)
+        assert (entry.nba_states, entry.dra_states) == (nba.num_states, dra.num_states)
+        assert entry.quotient_states == entry.automaton.num_states
+        assert automaton_key(entry.automaton) == automaton_key(quotient_reduce(dra))
+        assert cached_formula_chain(parse_formula("G F p -> G F q"), PQ, bank=bank) is entry
+        assert bank.stats()["formula_nba"].hits == 1
+
+    def test_cached_general_route_reads_the_chain_in_its_bank(self):
+        from repro.engine.cache import CACHES
+
+        formula = parse_formula("G F p -> G F q")
+        CACHES.clear()
+        bank = CacheBank()
+        automaton = cached_formula_to_automaton(formula, PQ, bank=bank)
+        assert cached_formula_chain(formula, PQ, bank=bank).automaton is automaton
+        assert bank.stats()["formula_nba"].hits == 1
+        # Neither the bank-local wrapper nor the uncached classifier touches
+        # the process-wide bank.
+        formula_to_automaton(formula, PQ)
+        assert len(CACHES.cache("formula_nba")) == 0
 
     def test_cached_nonempty_states(self):
         bank = CacheBank()

@@ -10,7 +10,7 @@ thread the same cache object for the same name.
 
 import threading
 
-from repro.engine.cache import CacheBank, Interner, LRUCache
+from repro.engine.cache import CacheBank, LRUCache
 
 
 def hammer(threads, worker):
@@ -138,25 +138,3 @@ class TestCacheBankConcurrency:
         hammer(8, worker)
         stats = bank.stats()["shared"]
         assert stats.size <= 16
-
-
-class TestInternerConcurrency:
-    def test_interning_is_canonical_under_races(self):
-        interner = Interner()
-        results = []
-        lock = threading.Lock()
-
-        def worker(_worker_id):
-            local = []
-            for i in range(200):
-                value = (i % 10, "payload")
-                local.append(interner.intern(value))
-            with lock:
-                results.append(local)
-
-        hammer(8, worker)
-        assert len(interner) == 10
-        # Every thread got the same canonical object per value.
-        for i in range(10):
-            canon = {id(chunk[i]) for chunk in results}
-            assert len(canon) == 1

@@ -1,8 +1,8 @@
-"""The metrics registry: counters, timers, histograms, traces, hot-path hooks."""
+"""The metrics registry: counters, timers, histograms, hot-path instrumentation."""
 
 import threading
 
-from repro.engine.metrics import METRICS, Histogram, MetricsRegistry, timed
+from repro.engine.metrics import METRICS, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -45,12 +45,6 @@ class TestInstruments:
             pass
         assert registry.timer("t").count == 1
 
-    def test_timed_helper_uses_global_registry(self):
-        before = METRICS.timer("test.timed_helper").count
-        with timed("test.timed_helper"):
-            pass
-        assert METRICS.timer("test.timed_helper").count == before + 1
-
     def test_histogram_buckets(self):
         histogram = Histogram("h", bounds=[10, 100])
         for value in (1, 5, 50, 5000):
@@ -63,43 +57,6 @@ class TestInstruments:
 
 
 class TestTraces:
-    def test_trace_buffers_events_and_counts(self):
-        registry = MetricsRegistry()
-        registry.trace("unit.event", states=7)
-        registry.trace("unit.other")
-        events = registry.recent_events("unit.event")
-        assert len(events) == 1
-        assert events[0].get("states") == 7
-        assert registry.counter("trace.unit.event").value == 1
-
-    def test_trace_hooks_fan_out(self):
-        registry = MetricsRegistry()
-        seen = []
-        hook = seen.append
-        registry.add_trace_hook(hook)
-        registry.trace("unit.event", x=1)
-        registry.remove_trace_hook(hook)
-        registry.trace("unit.event", x=2)
-        assert len(seen) == 1
-        assert seen[0].get("x") == 1
-
-    def test_failing_hook_is_isolated_and_counted(self):
-        """One broken hook must not break the hot path nor later hooks."""
-        registry = MetricsRegistry()
-        seen = []
-
-        def broken(_event):
-            raise RuntimeError("hook exploded")
-
-        registry.add_trace_hook(broken)
-        registry.add_trace_hook(seen.append)
-        event = registry.trace("unit.event", x=1)  # must not raise
-        assert event.get("x") == 1
-        assert len(seen) == 1  # the hook after the broken one still ran
-        assert registry.counter("trace.hook_errors").value == 1
-        registry.trace("unit.event", x=2)
-        assert registry.counter("trace.hook_errors").value == 2
-
     def test_merge_snapshot_folds_worker_registry(self):
         worker = MetricsRegistry()
         worker.counter("jobs").inc(3)
@@ -126,6 +83,34 @@ class TestTraces:
             "sum": 5005.0,
         }
 
+    def test_merge_snapshot_mismatched_histogram_is_all_or_nothing(self):
+        """A bucket label the local bounds lack rejects the whole histogram:
+        no bucket, observation or sum of it is applied."""
+        parent = MetricsRegistry()
+        parent.histogram("sizes", bounds=[10, 100])
+        parent.merge_snapshot(
+            {"histograms": {"sizes": {"le_10": 2, "le_50": 3, "le_100": 4, "sum": 99}}}
+        )
+        histogram = parent.histogram("sizes")
+        assert histogram.counts == [0, 0]
+        assert histogram.observations == 0
+        assert histogram.total == 0.0
+        assert parent.counter("merge.histogram_mismatch").value == 1
+
+    def test_merge_snapshot_ignores_empty_foreign_buckets(self):
+        parent = MetricsRegistry()
+        parent.histogram("sizes", bounds=[10, 100])
+        parent.merge_snapshot(
+            {"histograms": {"sizes": {"le_10": 2, "le_50": 0, "overflow": 1, "sum": 512}}}
+        )
+        assert parent.histogram("sizes").as_dict() == {
+            "le_10": 2,
+            "le_100": 0,
+            "overflow": 1,
+            "sum": 512,
+        }
+        assert parent.counter("merge.histogram_mismatch").value == 0
+
     def test_snapshot_delta_isolates_one_job(self):
         from repro.engine.metrics import snapshot_delta
 
@@ -137,14 +122,6 @@ class TestTraces:
         delta = snapshot_delta(before, registry.snapshot())
         assert delta["counters"] == {"work": 2}
         assert delta["timers"]["t"]["count"] == 1
-
-    def test_ring_buffer_is_bounded(self):
-        registry = MetricsRegistry(trace_capacity=16)
-        for index in range(100):
-            registry.trace("unit.event", index=index)
-        events = registry.recent_events()
-        assert len(events) == 16
-        assert events[-1].get("index") == 99
 
     def test_snapshot_and_reset(self):
         registry = MetricsRegistry()
@@ -212,27 +189,27 @@ class TestTraces:
 
 
 class TestHotPathInstrumentation:
-    """The Safra / GPVW / emptiness / classifier paths emit real events."""
+    """The Safra / GPVW / emptiness / classifier paths record real spans and timers."""
 
     def test_pipeline_emits_traces(self):
         from repro.core import classify_formula
         from repro.logic import parse_formula
+        from repro.obs.spans import TRACER
         from repro.words import Alphabet
 
-        seen = []
-        METRICS.add_trace_hook(seen.append)
-        try:
-            # "G (p -> F q)" takes the general GPVW → Safra route.
+        with TRACER.tracing():
+            # "(G F p -> G F q)" takes the general GPVW → Safra route.
             classify_formula(
                 parse_formula("(G F p -> G F q)"),
                 Alphabet.powerset_of_propositions(["p", "q"]),
             )
-        finally:
-            METRICS.remove_trace_hook(seen.append)
-        events = {event.event for event in seen}
-        assert "gpvw.translate" in events
-        assert "safra.determinize" in events
-        assert "classifier.classify_formula" in events
+            spans = {span.name: span.attributes for span in TRACER.finished()}
+        assert spans["gpvw.translate"]["nba_states"] == 13
+        assert spans["gpvw.translate"]["past_atoms"] == 0
+        assert spans["safra.determinize"]["nba_states"] == 13
+        assert spans["safra.determinize"]["dra_states"] == 135
+        assert spans["classifier.classify_formula"]["canonical"] == "reactivity"
+        assert spans["classifier.classify_formula"]["states"] == 123
 
     def test_monitor_setup_times_emptiness(self):
         from repro.core.monitor import PrefixMonitor

@@ -281,6 +281,29 @@ class TestRestartDurability:
         assert gpvw_after == gpvw_before
         assert safra_after == safra_before
 
+    def test_fresh_server_ignores_the_process_wide_chain(self, tmp_path):
+        """A server's private bank holds its own GPVW → Safra → quotient
+        chain: a store miss re-derives even when the global bank is warm."""
+        from repro.engine.cache import cached_classify_formula
+        from repro.logic.parser import parse_formula
+
+        text = "G F p -> G F q"  # the general route, not a tester
+        cached_classify_formula(parse_formula(text))
+        gpvw_before, safra_before = _derivations()
+        handle = start_in_thread(
+            ServerConfig(port=0, store_path=str(tmp_path / "s.db"), window_ms=2.0),
+            metrics=MetricsRegistry(),
+        )
+        try:
+            with ServeClient.connect(port=handle.port) as client:
+                assert client.classify(text)["class"] == "reactivity"
+                assert client.stats()["store"]["misses"] >= 1
+        finally:
+            handle.stop()
+        gpvw_after, safra_after = _derivations()
+        assert gpvw_after == gpvw_before + 1
+        assert safra_after == safra_before + 1
+
     def test_second_request_is_flagged_cached(self, tmp_path):
         handle = start_in_thread(
             ServerConfig(port=0, store_path=str(tmp_path / "s.db"), window_ms=2.0),
