@@ -81,11 +81,13 @@ def forced(mode: str) -> Iterator[None]:
 
 
 def vector_enabled() -> bool:
-    """Whether the numpy/scipy SCC backend may be used (when importable).
+    """Whether the numpy/scipy backends may be used (when importable).
 
-    ``REPRO_FASTPATH_VECTOR=off`` pins the dense route to the pure-Python
-    kernels — the qa oracle uses this to cross-check both backends; any
-    other value (or unset) leaves the choice to availability + round size.
+    That is the SCC/BFS passes of :mod:`repro.fastpath.scc` and the pair
+    product's numpy BFS.  ``REPRO_FASTPATH_VECTOR=off`` pins the dense route
+    to the pure-Python kernels — the qa oracle uses this to cross-check both
+    backends; any other value (or unset) leaves the choice to availability
+    and size.
     """
     return os.environ.get(VECTOR_ENV, "auto").strip().lower() != "off"
 

@@ -9,6 +9,13 @@ inner loop is pure integer arithmetic plus one small-int dict probe.
 Exploration order is *identical* to :func:`repro.finitary.dfa.explore` —
 same BFS, symbols in the base alphabet's order, states numbered by
 discovery — so the produced tables match the reference row for row.
+
+The pair kernel has a second, level-synchronous numpy BFS for large
+products.  It is pay-per-use: every pair exploration starts on the pure
+slot array, and only one that discovers more than
+:data:`_VECTOR_HANDOVER` states restarts on numpy (importing it on first
+use).  Both BFS routes number states identically, so the handover never
+changes a row.
 """
 
 from __future__ import annotations
@@ -23,6 +30,12 @@ _BUILD_LIMIT = 2_000_000
 #: Largest code space for which the pair kernel trades the interning dict
 #: for a flat slot array (4M entries ≈ 32 MB of small-int pointers).
 _FLAT_INDEX_LIMIT = 1 << 22
+
+#: Discovered-state count past which a flat-slot pair exploration restarts
+#: on the numpy BFS.  The numpy route's fixed per-level cost loses below
+#: about 80 reached states and wins from about 350 up; restarting here keeps
+#: every large product on numpy while small ones never import it.
+_VECTOR_HANDOVER = 256
 
 
 def explore_pair_dense(
@@ -41,23 +54,20 @@ def explore_pair_dense(
     The reachable code space ``n_a·n_b`` is usually small enough to intern
     through a flat slot array — one list index per probe instead of hashing
     every successor code — with per-symbol successor codes produced by
-    zipping the two table row slices.
+    zipping the two table row slices.  A flat-slot exploration that
+    discovers more than :data:`_VECTOR_HANDOVER` states restarts on the
+    numpy BFS when that backend is available; both produce the same rows.
     """
     scaled_a = [target * n_b for target in table_a]
     initial = initial_a * n_b + initial_b
     total = n_a * n_b
-    if total <= _FLAT_INDEX_LIMIT:
-        from repro.fastpath import vector
-        from repro.fastpath.config import vector_enabled
-
-        if vector.HAVE_VECTOR and vector_enabled():
-            return _explore_pair_vector(
-                scaled_a, table_b, n_b, k, initial, total, state_limit
-            )
     order: list[int] = [initial]
     rows: list[list[int]] = []
     head = 0
     if total <= _FLAT_INDEX_LIMIT:
+        # One bound check per discovery serves both the state limit and the
+        # handover; past the handover only the state limit remains.
+        cap = min(state_limit, _VECTOR_HANDOVER)
         slots = [-1] * total
         slots[initial] = 0
         while head < len(order):
@@ -73,10 +83,16 @@ def explore_pair_dense(
                 successor = successor_a + successor_b
                 slot = slots[successor]
                 if slot < 0:
-                    if len(order) >= state_limit:
-                        raise AutomatonError(
-                            f"automaton construction exceeded {state_limit} states"
-                        )
+                    if len(order) >= cap:
+                        if len(order) >= state_limit:
+                            raise AutomatonError(
+                                f"automaton construction exceeded {state_limit} states"
+                            )
+                        if _pair_vector_available():
+                            return _explore_pair_vector(
+                                scaled_a, table_b, n_b, k, initial, total, state_limit
+                            )
+                        cap = state_limit
                     slot = len(order)
                     slots[successor] = slot
                     order.append(successor)
@@ -108,6 +124,17 @@ def explore_pair_dense(
             append(slot)
         rows.append(row)
     return rows, [divmod(code, n_b) for code in order]
+
+
+def _pair_vector_available() -> bool:
+    """Whether the numpy pair BFS may run (imports numpy on first call)."""
+    from repro.fastpath.config import vector_enabled
+
+    if not vector_enabled():
+        return False
+    from repro.fastpath import vector
+
+    return vector.HAVE_VECTOR
 
 
 def _explore_pair_vector(

@@ -20,8 +20,11 @@ Representation notes:
   :mod:`repro.fastpath.vector`), pruning rounds over *large* candidates are
   routed to C SCC/BFS passes instead of the interpreted Tarjan loop; the
   small tail rounds of a deep pruning stay on the scratch arrays, whose
-  per-round overhead is lower.  ``REPRO_FASTPATH_VECTOR=off`` pins
-  everything to pure Python.
+  per-round overhead is lower.  The vector module (and with it numpy and
+  scipy) is imported on first use, by the first graph of at least
+  :data:`VECTOR_MIN_STATES` states, so paths that never see one never pay
+  the import.  ``REPRO_FASTPATH_VECTOR=off`` pins everything to pure
+  Python.
 
 The *sets* these kernels compute — the union of accepting-cycle states, the
 backward closure, the emptiness verdict — are identical to the reference
@@ -36,7 +39,6 @@ from collections.abc import Sequence
 
 from repro.fastpath.bitset import pack_mask, unpack_positions
 from repro.fastpath.config import vector_enabled
-from repro.fastpath import vector
 
 #: Candidate size below which the pure Tarjan scratch beats the fixed
 #: per-round cost of building a scipy CSR subgraph.
@@ -44,14 +46,16 @@ VECTOR_MIN_STATES = 192
 
 
 def _vector_delta(num_states: int, adjacency):
-    """The adjacency as a numpy table when the vector backend applies."""
-    if (
-        vector.HAVE_VECTOR
-        and num_states >= VECTOR_MIN_STATES
-        and vector_enabled()
-    ):
-        return vector.delta_array(adjacency)
-    return None
+    """The adjacency as a numpy table when the vector backend applies.
+
+    The size and switch checks come first: below the crossover the vector
+    module — and numpy/scipy with it — is never imported.
+    """
+    if num_states < VECTOR_MIN_STATES or not vector_enabled():
+        return None
+    from repro.fastpath import vector
+
+    return vector.delta_array(adjacency) if vector.HAVE_VECTOR else None
 
 
 def prepared_adjacency(num_states: int, adjacency):
@@ -195,6 +199,8 @@ def streett_good_masks(
     good masks — is the same either way.
     """
     delta = _vector_delta(num_states, adjacency)
+    if delta is not None:
+        from repro.fastpath import vector
     pair_bools = None
     good: list[int] = []
     pending: list = [unpack_positions(initial_mask)]
@@ -242,6 +248,8 @@ def rabin_cycle_mask(
 ) -> int:
     """States on a cycle meeting some ``E_i`` while avoiding its ``F_i``."""
     delta = _vector_delta(num_states, adjacency)
+    if delta is not None:
+        from repro.fastpath import vector
     scratch = None
     result = 0
     for left, right in pairs:
@@ -269,6 +277,8 @@ def reachable_mask(
     """Forward closure from ``initial``, as a bitmask."""
     delta = _vector_delta(num_states, adjacency)
     if delta is not None:
+        from repro.fastpath import vector
+
         return vector.forward_closure_mask(delta, initial, num_states)
     seen = bytearray(num_states)
     seen[initial] = 1
@@ -292,6 +302,8 @@ def can_reach_mask(
     """Backward closure: states from which ``target_mask`` is reachable."""
     delta = _vector_delta(num_states, adjacency)
     if delta is not None:
+        from repro.fastpath import vector
+
         return vector.backward_closure_mask(delta, target_mask, num_states)
     predecessors: list[list[int]] = [[] for _ in range(num_states)]
     for state in range(num_states):

@@ -18,6 +18,13 @@ Every entry point assumes a rectangular adjacency (every row the same
 length, as transition tables are); callers keep the pure route for anything
 else.  ``HAVE_VECTOR`` is False when the imports fail and every caller must
 check it first.
+
+Importing this module imports numpy and scipy, which costs far more than a
+whole paper-scale classification.  No module imports it at load time:
+:mod:`repro.fastpath.scc` and :mod:`repro.fastpath.product` import it
+inside the branches that use it, once a graph reaches
+:data:`repro.fastpath.scc.VECTOR_MIN_STATES` states or a pair product
+passes :data:`repro.fastpath.product._VECTOR_HANDOVER` discovered states.
 """
 
 from __future__ import annotations

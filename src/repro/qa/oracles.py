@@ -570,7 +570,7 @@ class FastpathOracle(Oracle):
     def check(self, subject) -> str | None:
         import os
 
-        from repro.fastpath.config import forced
+        from repro.fastpath.config import VECTOR_ENV, forced
         from repro.fastpath.labels import compress_det, expand_det
         from repro.fastpath.vector import HAVE_VECTOR
         from repro.logic.translate import formula_to_nba
@@ -605,13 +605,18 @@ class FastpathOracle(Oracle):
             nonempty_fast, empty_fast = self._emptiness_views(aut_a, aut_b, complemented)
             if HAVE_VECTOR:
                 # Third route: the dense kernels with the vector backend off.
-                os.environ["REPRO_FASTPATH_VECTOR"] = "off"
+                # The caller's own setting is restored afterwards, not wiped.
+                previous = os.environ.get(VECTOR_ENV)
+                os.environ[VECTOR_ENV] = "off"
                 try:
                     nonempty_pure, empty_pure = self._emptiness_views(
                         aut_a, aut_b, complemented
                     )
                 finally:
-                    os.environ.pop("REPRO_FASTPATH_VECTOR", None)
+                    if previous is None:
+                        os.environ.pop(VECTOR_ENV, None)
+                    else:
+                        os.environ[VECTOR_ENV] = previous
                 if nonempty_pure != nonempty_fast or empty_pure != empty_fast:
                     return "dense route disagrees with itself across SCC backends"
 

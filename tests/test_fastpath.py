@@ -1,5 +1,6 @@
 """The dense fastpath kernels: differential parity, the vectorized SCC
-backend, route selection, and the benchmark harness plumbing.
+backend, the pair-product numpy handover, route selection, and the
+benchmark harness plumbing.
 
 The headline test drives the qa ``fastpath`` oracle over enough generated
 subjects that well over 200 automata/DFAs are cross-checked reference vs
@@ -21,9 +22,10 @@ from repro.bench.fastpath import (
     run_benchmarks,
 )
 from repro.engine.metrics import METRICS
-from repro.fastpath import scc
+from repro.errors import AutomatonError
+from repro.fastpath import product, scc
 from repro.fastpath.bitset import pack_mask, unpack_positions
-from repro.fastpath.config import forced, vector_enabled
+from repro.fastpath.config import VECTOR_ENV, forced, vector_enabled
 from repro.fastpath.vector import HAVE_VECTOR
 from repro.qa.generate import GeneratorConfig
 from repro.qa.oracles import oracle_named
@@ -66,15 +68,14 @@ class TestVectorBackendParity:
     """The scipy-backed SCC/BFS twins must match the pure kernels bit for
     bit on graphs above the vector threshold."""
 
-    def _both_backends(self, call):
-        os.environ["REPRO_FASTPATH_VECTOR"] = "off"
-        try:
-            pure = call()
-        finally:
-            os.environ.pop("REPRO_FASTPATH_VECTOR", None)
+    @staticmethod
+    def _both_backends(monkeypatch, call):
+        monkeypatch.setenv(VECTOR_ENV, "off")
+        pure = call()
+        monkeypatch.delenv(VECTOR_ENV)
         return pure, call()
 
-    def test_streett_rabin_and_closures_agree(self):
+    def test_streett_rabin_and_closures_agree(self, monkeypatch):
         rng = random.Random(2026)
         for _ in range(25):
             n = rng.randrange(scc.VECTOR_MIN_STATES, 3 * scc.VECTOR_MIN_STATES)
@@ -87,12 +88,13 @@ class TestVectorBackendParity:
             target = _random_mask(rng, n, 0.03)
             initial = rng.randrange(n)
             pure, vec = self._both_backends(
+                monkeypatch,
                 lambda: (
                     sorted(scc.streett_good_masks(n, full, adjacency, pairs)),
                     scc.rabin_cycle_mask(n, full, adjacency, pairs),
                     scc.reachable_mask(n, initial, adjacency),
                     scc.can_reach_mask(n, target, adjacency),
-                )
+                ),
             )
             assert pure == vec
 
@@ -101,14 +103,77 @@ class TestVectorBackendParity:
         # identical results either way, so just pin the selection logic.
         assert scc._vector_delta(scc.VECTOR_MIN_STATES - 1, ((0,),)) is None
 
-    def test_vector_env_off_disables_backend(self):
-        os.environ["REPRO_FASTPATH_VECTOR"] = "off"
-        try:
-            assert not vector_enabled()
-            assert scc._vector_delta(scc.VECTOR_MIN_STATES, ((0,),)) is None
-        finally:
-            os.environ.pop("REPRO_FASTPATH_VECTOR", None)
+    def test_vector_env_off_disables_backend(self, monkeypatch):
+        monkeypatch.setenv(VECTOR_ENV, "off")
+        assert not vector_enabled()
+        assert scc._vector_delta(scc.VECTOR_MIN_STATES, ((0,),)) is None
+        monkeypatch.delenv(VECTOR_ENV)
         assert vector_enabled()
+
+    def test_oracle_restores_callers_vector_setting(self, monkeypatch):
+        monkeypatch.setenv(VECTOR_ENV, "off")
+        oracle = oracle_named("fastpath")
+        subject = oracle.generate(random.Random(3), GeneratorConfig())
+        assert oracle.check(subject) is None
+        assert os.environ.get(VECTOR_ENV) == "off"
+
+
+def _pair_product_near(rng, discovered: int):
+    """Random pair-product tables whose BFS discovers exactly
+    ``discovered`` states (drawn by search, with the pure route)."""
+    while True:
+        k = rng.randrange(2, 4)
+        n_a, n_b = rng.randrange(12, 40), rng.randrange(8, 24)
+        table_a = [rng.randrange(n_a) for _ in range(n_a * k)]
+        table_b = [rng.randrange(n_b) for _ in range(n_b * k)]
+        args = (table_a, n_a, table_b, n_b, k, 0, 0)
+        _, order = product.explore_pair_dense(*args)
+        if len(order) == discovered:
+            return args
+
+
+@pytest.mark.skipif(not HAVE_VECTOR, reason="numpy/scipy not installed")
+class TestPairProductHandover:
+    """The pair BFS restarts on numpy past ``_VECTOR_HANDOVER`` discovered
+    states; the output and the state-limit error must not change."""
+
+    # At +2 a limit of handover + 1 lets the exploration hand over and then
+    # makes the numpy route raise.
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_handover_matches_pure_route(self, monkeypatch, offset):
+        handover = product._VECTOR_HANDOVER
+        count = handover + offset
+        monkeypatch.setenv(VECTOR_ENV, "off")
+        args = _pair_product_near(random.Random(2026 + offset), count)
+        pure = product.explore_pair_dense(*args)
+        monkeypatch.delenv(VECTOR_ENV)
+
+        vector_bfs = product._explore_pair_vector
+        handed_over = []
+
+        def spy(*call_args):
+            handed_over.append(True)
+            return vector_bfs(*call_args)
+
+        monkeypatch.setattr(product, "_explore_pair_vector", spy)
+        assert product.explore_pair_dense(*args) == pure
+        assert bool(handed_over) == (offset > 0)
+
+        table_a, n_a, table_b, n_b, k, _, _ = args
+        scaled_a = [target * n_b for target in table_a]
+        assert vector_bfs(scaled_a, table_b, n_b, k, 0, n_a * n_b, 10**9) == pure
+
+        for limit in (handover - 1, count - 1, count):
+            outcomes = []
+            for setting in ("off", "auto"):
+                monkeypatch.setenv(VECTOR_ENV, setting)
+                try:
+                    product.explore_pair_dense(*args, state_limit=limit)
+                    outcomes.append("ok")
+                except AutomatonError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            assert (outcomes[0] == "ok") == (count <= limit)
 
 
 class TestSccKernels:
