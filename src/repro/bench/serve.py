@@ -1,8 +1,9 @@
 """End-to-end service benchmark: requests/sec and latency percentiles.
 
 Unlike :mod:`repro.bench.fastpath` (kernel vs reference — a ratio, immune
-to machine speed) this measures the whole serving path: socket framing,
-admission, the batching window, engine dispatch and the persistent store.
+to machine speed) this measures the whole serving path: socket framing, admission and its
+persistent-store lookup, and for misses the batching window and engine
+dispatch.
 Per workload the harness starts a fresh server on an ephemeral port with a
 temporary store file, runs one untimed warm pass (fills the store and the
 bank — the steady state a long-lived server actually operates in), then
@@ -123,14 +124,14 @@ def _run_workload(
                 client.request(verb, **params)
             for _ in range(repeat):
                 # Latency pass: one request at a time, per-request timing
-                # (each pays the batching window alone — the worst case).
+                # (a lone client; store hits are answered at admission).
                 latencies: list[float] = []
                 for verb, params in requests:
                     t0 = time.perf_counter()
                     client.request(verb, **params)
                     latencies.append((time.perf_counter() - t0) * 1e3)
                 # Throughput pass: the whole workload pipelined on one
-                # connection, so batching windows amortize across requests.
+                # connection.
                 start = time.perf_counter()
                 ids = [client.send(verb, **params) for verb, params in requests]
                 for request_id in ids:

@@ -117,6 +117,46 @@ class Span:
         return f"Span({self.name}, {self.duration*1e3:.3f}ms, {self.attributes})"
 
 
+class SpanTree:
+    """A recorded root span and its leaf children, the children packed.
+
+    :meth:`SpanTracer.record_tree` keeps the children as a ``name → (start,
+    end)`` mapping and builds their :class:`Span` objects (id ``<root
+    id>.<n>``, no attributes) only when something iterates the tree:
+    :meth:`SpanTracer.finished`, a flight-recorder dump, a wire echo.  Each
+    pass builds them afresh from the mapping, so a child closed after the
+    tree was recorded shows in every later pass.  The serve layer records
+    one tree per request, and most are never read.
+    """
+
+    __slots__ = ("root", "children")
+
+    def __init__(self, root: Span, children: dict[str, tuple[float, float]]) -> None:
+        self.root = root
+        self.children = children
+
+    def __len__(self) -> int:
+        return 1 + len(self.children)
+
+    def __iter__(self) -> Iterator[Span]:
+        root = self.root
+        yield root
+        for index, (name, (start, end)) in enumerate(self.children.items(), 1):
+            yield Span(
+                name, f"{root.span_id}.{index}", root.trace_id, root.span_id, start, end
+            )
+
+
+def _flatten(entries: Iterable[Span | SpanTree]) -> list[Span]:
+    spans: list[Span] = []
+    for entry in entries:
+        if isinstance(entry, SpanTree):
+            spans.extend(entry)
+        else:
+            spans.append(entry)
+    return spans
+
+
 class _NoopSpan:
     """The shared do-nothing span handed out while tracing is disabled."""
 
@@ -149,7 +189,10 @@ class SpanTracer:
         self.capacity = capacity
         self.dropped = 0
         self._lock = threading.Lock()
-        self._finished: list[Span] = []
+        #: Finished spans and packed trees, in completion order; ``_size``
+        #: counts the spans they hold.
+        self._finished: list[Span | SpanTree] = []
+        self._size = 0
         self._seen_ids: set[str] = set()
         self._ids = itertools.count(1)
         self._pid = os.getpid()
@@ -161,6 +204,7 @@ class SpanTracer:
         """Start recording (clears previously finished spans)."""
         with self._lock:
             self._finished.clear()
+            self._size = 0
             self._seen_ids.clear()
             self.dropped = 0
             if capacity is not None:
@@ -173,6 +217,7 @@ class SpanTracer:
     def clear(self) -> None:
         with self._lock:
             self._finished.clear()
+            self._size = 0
             self._seen_ids.clear()
             self.dropped = 0
 
@@ -237,10 +282,11 @@ class SpanTracer:
 
     def _record(self, span: Span) -> None:
         with self._lock:
-            if len(self._finished) >= self.capacity:
+            if self._size >= self.capacity:
                 self.dropped += 1
             else:
                 self._finished.append(span)
+                self._size += 1
                 self._seen_ids.add(span.span_id)
 
     # ---------------------------------------------------------- manual spans
@@ -249,8 +295,8 @@ class SpanTracer:
     # nested synchronous work.  Request pipelines (the serve layer) need
     # spans that open in one coroutine/thread and close in another, without
     # ever touching the ambient context: ``start_manual``/``finish_manual``
-    # for open-ended operations and ``record_span`` for stages whose
-    # boundaries were measured retrospectively with ``perf_counter``.
+    # for open-ended operations and ``record_tree`` for a request whose
+    # stage boundaries were measured retrospectively with ``perf_counter``.
 
     def start_manual(
         self,
@@ -294,42 +340,6 @@ class SpanTracer:
         span.error = error
         self._record(span)
 
-    def record_span(
-        self,
-        name: str,
-        *,
-        start: float,
-        end: float,
-        parent: Span | SpanContext | None = None,
-        trace_id: str | None = None,
-        status: str = "ok",
-        error: str | None = None,
-        **attributes: object,
-    ) -> Span | None:
-        """Record an already-measured interval as a span; ``None`` if off.
-
-        This is how the serve layer turns per-stage ``perf_counter`` marks
-        into children of a request span after the fact.
-        """
-        if not self.enabled:
-            return None
-        if trace_id is None:
-            trace_id = parent.trace_id if parent is not None else f"t{self._new_id()}"
-        span = Span(
-            name=name,
-            span_id=self._new_id(),
-            trace_id=trace_id,
-            parent_id=parent.span_id if parent is not None else None,
-            start=start,
-            end=end,
-            status=status,
-            error=error,
-        )
-        for key, value in attributes.items():
-            span.attributes[key] = _scalar(value)
-        self._record(span)
-        return span
-
     def record_tree(
         self,
         name: str,
@@ -338,64 +348,48 @@ class SpanTracer:
         end: float,
         parent: Span | SpanContext | None = None,
         status: str = "ok",
-        error: str | None = None,
-        children: Iterable[tuple[str, float, float]] = (),
-        attributes: dict[str, object] | None = None,
-    ) -> tuple[Span | None, tuple[Span, ...]]:
-        """Record a root and its leaf children as one batch; ``(None, ())`` off.
+        children: dict[str, tuple[float, float]],
+        attributes: dict[str, Scalar] | None = None,
+    ) -> SpanTree | None:
+        """Record a root and its leaf children as one :class:`SpanTree`;
+        ``None`` while disabled.
 
         The per-request fast path of the serve layer: a root plus a handful
-        of ``(name, start, end)`` stage children every few hundred
-        microseconds.  Recording them one :meth:`record_span` at a time pays
-        the pid check, the kwargs plumbing and the buffer lock once per
-        span; this method pays each once per *tree*, which is what keeps
-        the end-to-end telemetry overhead inside its ``BENCH_obs.json``
-        budget.
+        of stage children every hundred microseconds or so.  ``children``
+        maps each child's name to its ``(start, end)``, in time order.  The
+        call pays the pid check and the buffer lock once per tree, builds
+        one span (the root) instead of one per stage, and keeps
+        ``attributes`` (already JSON scalars) and ``children`` as given:
+        the tree holds the caller's mapping, so a child recorded while
+        still open is closed by setting its entry.  That is what keeps the
+        end-to-end telemetry overhead inside its ``BENCH_obs.json`` budget.
+        A tree that does not fit under ``capacity`` is dropped whole.
         """
         if not self.enabled:
-            return None, ()
+            return None
         pid = os.getpid()
         if pid != self._pid:
             self._pid = pid
             self._nonce = f"{pid:x}"
-        nonce, ids = self._nonce, self._ids
+        root_id = f"{self._nonce}-{next(self._ids):x}"
         if parent is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
         else:
-            trace_id, parent_id = f"t{nonce}-{next(ids):x}", None
-        root = Span(
-            name=name,
-            span_id=f"{nonce}-{next(ids):x}",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            start=start,
-            end=end,
-            status=status,
-            error=error,
+            trace_id, parent_id = f"t{root_id}", None
+        tree = SpanTree(
+            Span(name, root_id, trace_id, parent_id, start, end,
+                 {} if attributes is None else attributes, status),
+            children,
         )
-        if attributes:
-            for key, value in attributes.items():
-                root.attributes[key] = _scalar(value)
-        kids = tuple(
-            Span(
-                name=child_name,
-                span_id=f"{nonce}-{next(ids):x}",
-                trace_id=trace_id,
-                parent_id=root.span_id,
-                start=child_start,
-                end=child_end,
-            )
-            for child_name, child_start, child_end in children
-        )
+        size = 1 + len(children)
         with self._lock:
-            finished, seen = self._finished, self._seen_ids
-            for span in (root, *kids):
-                if len(finished) >= self.capacity:
-                    self.dropped += 1
-                else:
-                    finished.append(span)
-                    seen.add(span.span_id)
-        return root, kids
+            if self._size + size > self.capacity:
+                self.dropped += size
+            else:
+                self._finished.append(tree)
+                self._size += size
+                self._seen_ids.add(root_id)
+        return tree
 
     def traced(self, name: str, **attributes: object) -> Callable:
         """Decorator form of :meth:`span`."""
@@ -452,17 +446,18 @@ class SpanTracer:
         ``parent``, and every adopted span joins the parent's trace so the
         request renders as one tree.  Span ids carry the worker's pid nonce,
         so they cannot collide with locally issued ids.  A payload whose
-        span id was already recorded here is skipped: when client and server
-        share one process (tests, the telemetry smoke) the server records
-        its spans directly *and* ships them over the wire, and adopting the
-        echo must not duplicate them.
+        span id was already recorded here is skipped (a packed tree child,
+        ``<root id>.<n>``, counts as recorded with its root): when client and
+        server share one process (tests, the telemetry smoke) the server
+        records its spans directly *and* ships them over the wire, and
+        adopting the echo must not duplicate them.
         """
         adopted = []
         with self._lock:
             seen = set(self._seen_ids)
         for payload in payloads:
             span = Span.from_payload(payload)
-            if span.span_id in seen:
+            if span.span_id.partition(".")[0] in seen:
                 continue
             if parent is not None:
                 if span.parent_id is None:
@@ -475,19 +470,30 @@ class SpanTracer:
     # ------------------------------------------------------------ reporting
 
     def finished(self) -> list[Span]:
-        """All recorded spans, in completion order."""
+        """All recorded spans, in completion order (trees unpacked)."""
         with self._lock:
-            return list(self._finished)
+            entries = list(self._finished)
+        return _flatten(entries)
 
     def export_payloads(self, *, since: int = 0) -> list[dict[str, Any]]:
-        """Finished spans (from index ``since``) as plain dicts."""
+        """Finished spans (from span index ``since``) as plain dicts."""
         with self._lock:
-            spans = self._finished[since:]
+            # Walk back from the end, so a mark near the end costs only
+            # the entries after it.
+            remaining, tail = self._size - since, []
+            for entry in reversed(self._finished):
+                if remaining <= 0:
+                    break
+                tail.append(entry)
+                remaining -= len(entry) if isinstance(entry, SpanTree) else 1
+        # A tree straddling the mark overshoots by -remaining spans.
+        spans = _flatten(reversed(tail))[max(0, -remaining):]
         return [span.as_payload() for span in spans]
 
     def __len__(self) -> int:
+        """The number of recorded spans."""
         with self._lock:
-            return len(self._finished)
+            return self._size
 
 
 #: The process-wide tracer the instrumented hot paths report into.

@@ -9,11 +9,13 @@ Two bounded buffers:
   p99 of recent requests) are *also* kept in their own ring, so a burst of
   healthy traffic cannot evict the one trace you need.
 
-Both rings hold finished :class:`~repro.obs.spans.Span` objects, so a dump
-reuses ``repro.obs.export`` verbatim: :meth:`FlightRecorder.dump` writes
-the same deterministic JSONL (meta line, tree order, unique span ids) that
-``validate_jsonl_lines`` checks in CI.  The server wires dumps to
-``SIGUSR1`` and to the sidecar's ``/recorder/dump`` route.
+Both rings hold finished :class:`~repro.obs.spans.Span` objects (a
+server request's as its packed :class:`~repro.obs.spans.SpanTree`, whose
+spans are built only when read), so a dump reuses ``repro.obs.export``
+verbatim: :meth:`FlightRecorder.dump` writes the same deterministic JSONL
+(meta line, tree order, unique span ids) that ``validate_jsonl_lines``
+checks in CI.  The server wires dumps to ``SIGUSR1`` and to the sidecar's
+``/recorder/dump`` route.
 
 The slow threshold is intentionally *rolling*: a fixed cutoff is wrong for
 a service whose latency spans three orders of magnitude between a store
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.obs.spans import Span
+from repro.obs.spans import Span, SpanTree
 
 #: How many records the cached slow threshold may serve before the rolling
 #: quantile is recomputed (amortizes the window sort off the hot path).
@@ -68,7 +70,7 @@ class RecordedRequest:
     status: str  #: "ok" or "error"
     wall_time: float  #: time.time() at completion (for humans; not in spans)
     notable: str | None = None  #: None, "error", or "slow"
-    spans: list[Span] = field(default_factory=list)
+    spans: list[Span] | SpanTree = field(default_factory=list)
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -137,7 +139,7 @@ class FlightRecorder:
         request_id: Any,
         verb: str,
         duration_s: float,
-        spans: Sequence[Span] = (),
+        spans: Sequence[Span] | SpanTree = (),
         error: bool = False,
     ) -> RecordedRequest:
         """Capture one completed request; returns the recorded entry.
@@ -152,7 +154,8 @@ class FlightRecorder:
             duration_s=duration_s,
             status="error" if error else "ok",
             wall_time=time.time(),
-            spans=list(spans),
+            # A packed tree is kept packed: it builds its spans when read.
+            spans=spans if isinstance(spans, SpanTree) else list(spans),
         )
         with self._lock:
             threshold = self._threshold_locked()

@@ -1,4 +1,4 @@
-"""The asyncio server core: accept → batch → dispatch → store → respond.
+"""The asyncio server core: accept → admit → store → batch → dispatch.
 
 One :class:`ClassificationServer` owns four cooperating pieces:
 
@@ -7,21 +7,23 @@ One :class:`ClassificationServer` owns four cooperating pieces:
   ``classify``/``explain`` pass *admission control*: a draining server, a
   saturated ``max_inflight``, or an exhausted per-client quota each answer
   immediately with a typed, retryable error frame — backpressure is a
-  protocol feature, never a hang or a reset.
-* **batch** — admitted work lands on a queue; the dispatcher collects it
+  protocol feature, never a hang or a reset.  An admitted request then
+  makes its one :class:`~repro.serve.store.PersistentStore` lookup, on
+  the event loop.  A hit is answered there and then (``"cached": true``):
+  it never waits out a batching window or queues behind a running batch.
+* **batch** — store misses land on a queue; the dispatcher collects them
   into batching windows (first request opens a window of ``window_ms``,
   closed early at ``batch_max``) so one engine run amortizes cache and
   pool overhead over concurrent callers.
 * **dispatch** — each window is processed off-loop in a worker thread:
-  persistent-store lookups first, then one
-  :class:`~repro.engine.batch.EvaluationEngine` run over the misses
+  one :class:`~repro.engine.batch.EvaluationEngine` run over the misses
   (structural dedupe and executor pools included).  If the engine itself
   fails — a broken or saturated pool, a pickling surprise — the batch
   degrades to serial in-process evaluation instead of failing requests:
   counted in ``serve.degraded_batches``, never user-visible.
-* **store** — finished payloads are written through to the
-  :class:`~repro.serve.store.PersistentStore`, so the *next* process to
-  see these formulas answers from disk instead of re-running GPVW/Safra.
+* **store** — finished payloads are written through to the store, so the
+  next request for the same subject (in this process or the next one) is
+  a hit at admission instead of a GPVW/Safra re-run.
 
 Graceful shutdown (:meth:`ClassificationServer.stop`) stops accepting,
 answers new requests with retryable ``draining`` frames, waits for every
@@ -36,18 +38,20 @@ With tracing on, every request additionally gets a retrospective span
 tree — a ``serve.request`` root (parented on the client's wire-propagated
 span, when the frame carried a ``trace`` field) with
 ``serve.stage.{decode,admission,store,engine,encode}`` children — recorded
-into the process tracer and the :class:`~repro.obs.telemetry.FlightRecorder`,
-and echoed back on the response for client-side adoption.  Per-stage
-latency histograms (``serve.stage_ms.*``) are always on.  With
-``--telemetry-port`` set, a :class:`~repro.obs.telemetry.TelemetrySidecar`
-serves ``/metrics``, ``/healthz``, ``/readyz``, ``/spans/recent``,
-``/stats`` and ``/recorder/dump`` beside the service port — see
-``docs/OBSERVABILITY.md`` ("Operating the service").
+as one packed :class:`~repro.obs.spans.SpanTree` into the process tracer
+and the :class:`~repro.obs.telemetry.FlightRecorder`, and echoed back on
+the response for client-side adoption.  Per-stage latency histograms
+(``serve.stage_ms.*``) are always on.  With ``--telemetry-port`` set, a
+:class:`~repro.obs.telemetry.TelemetrySidecar` serves ``/metrics``,
+``/healthz``, ``/readyz``, ``/spans/recent``, ``/stats`` and
+``/recorder/dump`` beside the service port — see ``docs/OBSERVABILITY.md``
+("Operating the service").
 """
 
 from __future__ import annotations
 
 import asyncio
+import sqlite3
 import threading
 import time
 from collections import defaultdict, deque
@@ -58,11 +62,12 @@ import repro
 from repro.engine.batch import ClassifyFormula, ClassifyOmega, EvaluationEngine, Job
 from repro.engine.cache import CacheBank
 from repro.engine.metrics import METRICS, MetricsRegistry
-from repro.obs.spans import TRACER, Span, SpanContext, span
+from repro.obs.spans import TRACER, SpanContext, SpanTree, span
 from repro.obs.telemetry.recorder import FlightRecorder, quantile
 from repro.obs.telemetry.sidecar import TelemetrySidecar
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    VERBS,
     ProtocolError,
     Request,
     decode_frame,
@@ -86,6 +91,11 @@ STAGE_BOUNDS_MS = (0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500, 2000)
 
 #: How many recent per-verb durations back the stats quantiles (p50/p90/p99).
 LATENCY_WINDOW = 512
+
+#: A request's stages in pipeline order.  Each is a ``serve.stage.<name>``
+#: child span of the request and a ``serve.stage_ms.<name>`` histogram.
+STAGES = ("decode", "admission", "store", "engine", "encode")
+DECODE, ADMISSION, STORE, ENGINE, ENCODE = (f"serve.stage.{s}" for s in STAGES)
 
 
 @dataclass(frozen=True)
@@ -127,7 +137,8 @@ class _Connection:
 
 @dataclass
 class _WorkItem:
-    """One admitted request on its way through batch → dispatch → respond."""
+    """One admitted request on its way to a response: straight from the
+    store at admission, or through batch → dispatch."""
 
     request_id: Any
     verb: str
@@ -140,12 +151,13 @@ class _WorkItem:
     enqueued: float = 0.0
     #: perf_counter at frame arrival — the request span's start.
     t_recv: float = 0.0
-    #: stage → (start, end) perf_counter marks, turned into child spans and
-    #: ``serve.stage_ms.*`` histogram samples when the response goes out.
+    #: stage span name → (start, end) perf_counter marks, in time order: the
+    #: children of the request's span tree and the ``serve.stage_ms.*``
+    #: histogram samples.
     marks: dict[str, tuple[float, float]] = field(default_factory=dict)
     #: the client's open span, when the request carried a ``trace`` field.
     trace_parent: SpanContext | None = None
-    #: source of the payload once dispatched ("store" or "computed").
+    #: where the answer came from: "store", "computed" or "internal".
     source: str = ""
 
 
@@ -184,8 +196,12 @@ class ClassificationServer:
         )
         self._latency_lock = threading.Lock()
         # The per-request instruments, resolved once: the registry lookup
-        # (a lock plus a dict probe, times seven instruments per request)
-        # is measurable at warm-pipeline request rates.
+        # (a lock plus a dict probe per instrument per request) is
+        # measurable at warm-pipeline request rates.
+        self._request_counters = {
+            verb: self.metrics.counter(f"serve.requests.{verb}") for verb in VERBS
+        }
+        self._batch_size_hist = self.metrics.histogram("serve.batch_size")
         self._request_timer = self.metrics.timer("serve.request")
         self._latency_hist = self.metrics.histogram(
             "serve.latency_ms", LATENCY_BOUNDS_MS
@@ -193,11 +209,10 @@ class ClassificationServer:
         self._ok_counter = self.metrics.counter("serve.responses_ok")
         self._error_counter = self.metrics.counter("serve.responses_error")
         self._stage_hists = {
-            stage: self.metrics.histogram(f"serve.stage_ms.{stage}", STAGE_BOUNDS_MS)
-            for stage in ("decode", "admission", "store", "engine", "encode")
-        }
-        self._stage_span_names = {
-            stage: f"serve.stage.{stage}" for stage in self._stage_hists
+            f"serve.stage.{stage}": self.metrics.histogram(
+                f"serve.stage_ms.{stage}", STAGE_BOUNDS_MS
+            )
+            for stage in STAGES
         }
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue[_WorkItem] | None = None
@@ -349,7 +364,7 @@ class ClassificationServer:
             await self._send(conn, error_response(raw_id, error.code, str(error)))
             return
         t_decoded = time.perf_counter()
-        self.metrics.counter(f"serve.requests.{request.verb}").inc()
+        self._request_counters[request.verb].inc()
         if request.verb == "health":
             await self._send(conn, ok_response(request.id, self._health_payload()))
             return
@@ -417,14 +432,37 @@ class ClassificationServer:
         item.future = asyncio.get_running_loop().create_future()
         item.enqueued = time.perf_counter()
         item.t_recv = decode[0]
-        item.marks["decode"] = decode
-        item.marks["admission"] = (decode[1], item.enqueued)
+        item.marks[DECODE] = decode
+        item.marks[ADMISSION] = (decode[1], item.enqueued)
         item.trace_parent = request.trace
         self._inflight += 1
         conn.inflight += 1
         self._idle.clear()
-        self._queue.put_nowait(item)
-        asyncio.create_task(self._respond(conn, item))
+        payload = self._lookup(item)
+        if payload is None:
+            self._queue.put_nowait(item)
+            asyncio.create_task(self._respond(conn, item))
+            return
+        # A store hit never enters the queue: it is answered here, on the
+        # loop, without waiting out a batching window or a running batch.
+        item.source = "store"
+        response = ok_response(item.request_id, payload)
+        response["cached"] = True
+        item.future.set_result(response)
+        await self._respond(conn, item)
+
+    def _lookup(self, item: _WorkItem) -> dict | None:
+        """The request's one store lookup (``None`` on a miss, or no store)."""
+        if self.store is None or item.key is None:
+            return None
+        start = time.perf_counter()
+        try:
+            payload = self.store.get(item.key)
+        except sqlite3.Error:  # a broken store degrades to a miss
+            self.metrics.counter("serve.store.errors").inc()
+            payload = None
+        item.marks[STORE] = (start, time.perf_counter())
+        return payload
 
     def _build_item(self, request: Request) -> _WorkItem:
         """Parse and key one admitted request (cheap; runs on the loop)."""
@@ -522,65 +560,52 @@ class ClassificationServer:
                     )
                 except (asyncio.TimeoutError, TimeoutError):
                     break
-            self.metrics.histogram("serve.batch_size").observe(len(batch))
+            self._batch_size_hist.observe(len(batch))
             try:
                 outcomes = await asyncio.to_thread(self._process_batch, batch)
             except Exception as error:  # noqa: BLE001 — never lose a batch
                 self.metrics.counter("serve.internal_errors").inc()
-                outcomes = [
-                    (entry, False, f"{type(error).__name__}: {error}", "internal")
-                    for entry in batch
-                ]
-            for entry, ok, payload_or_error, source in outcomes:
+                error_text = f"{type(error).__name__}: {error}"
+                for entry in batch:
+                    entry.source = "internal"
+                outcomes = [(entry, False, error_text) for entry in batch]
+            for entry, ok, payload_or_error in outcomes:
                 if entry.future.done():
                     continue
-                entry.source = source
                 if ok:
                     response = ok_response(entry.request_id, payload_or_error)
-                    response["cached"] = source == "store"
+                    response["cached"] = False
                     entry.future.set_result(response)
                 else:
-                    code = "internal" if source == "internal" else "evaluation"
+                    code = "internal" if entry.source == "internal" else "evaluation"
                     entry.future.set_result(
                         error_response(entry.request_id, code, payload_or_error)
                     )
 
     def _process_batch(
         self, batch: list[_WorkItem]
-    ) -> list[tuple[_WorkItem, bool, Any, str]]:
-        """Worker-thread body: store lookups, one engine run, write-through."""
+    ) -> list[tuple[_WorkItem, bool, Any]]:
+        """Worker-thread body: one engine run over a window of store misses,
+        then write-through."""
         with span("serve.batch", size=len(batch)):
-            outcomes: list[tuple[_WorkItem, bool, Any, str]] = []
-            pending: list[_WorkItem] = []
-            for item in batch:
-                if self.store is not None and item.key is not None:
-                    lookup_start = time.perf_counter()
-                    payload = self.store.get(item.key)
-                    item.marks["store"] = (lookup_start, time.perf_counter())
-                    if payload is not None:
-                        outcomes.append((item, True, payload, "store"))
-                        continue
-                pending.append(item)
             engine_start = time.perf_counter()
-            computed = self._evaluate(pending)
+            computed = self._evaluate(batch)
             engine_interval = (engine_start, time.perf_counter())
-            for item in pending:
+            for item in batch:
                 # One window, one engine run: every miss in the window gets
                 # the window's engine interval (the per-item share is not
                 # observable from outside the engine).
-                item.marks["engine"] = engine_interval
+                item.marks[ENGINE] = engine_interval
+                item.source = "computed"
             for item, ok, payload_or_error in computed:
                 if ok and self.store is not None and item.key is not None:
                     self.store.put(item.key, item.verb, payload_or_error)
-                outcomes.append((item, ok, payload_or_error, "computed"))
-            return outcomes
+            return computed
 
     def _evaluate(
         self, items: list[_WorkItem]
     ) -> list[tuple[_WorkItem, bool, Any]]:
         """Run one window's store misses: engine for jobs, direct for thunks."""
-        if not items:
-            return []
         with span("serve.dispatch", size=len(items)):
             outcomes: list[tuple[_WorkItem, bool, Any]] = []
             engine_items = [item for item in items if item.job is not None]
@@ -625,36 +650,27 @@ class ClassificationServer:
                 self._ok_counter.inc()
             else:
                 self._error_counter.inc()
-            root, children = self._request_spans(item, ok=ok)
-            if root is not None and item.trace_parent is not None:
+            tree = self._request_spans(item, ok=ok)
+            if tree is not None and item.trace_parent is not None:
                 # The client asked for propagation: echo the finished
                 # server-side spans so it can adopt them into its trace.
-                # (The encode stage closes after the send; it stays
-                # server-side only.)
+                # (The encode stage, last in the tree, closes after the
+                # send; it stays server-side only.)
                 response["trace"] = {
-                    "id": root.trace_id,
-                    "spans": [s.as_payload() for s in (root, *children)],
+                    "id": tree.root.trace_id,
+                    "spans": [s.as_payload() for s in list(tree)[:-1]],
                 }
             encode_start = time.perf_counter()
             await self._send(conn, response)
-            if root is not None:
-                encode_span = TRACER.record_span(
-                    "serve.stage.encode",
-                    start=encode_start,
-                    end=time.perf_counter(),
-                    parent=root,
-                )
-                if encode_span is not None:
-                    children = (*children, encode_span)
-            self._stage_hists["encode"].observe(
-                (time.perf_counter() - encode_start) * 1000.0
-            )
-            spans = (root, *children) if root is not None else ()
+            encode_end = time.perf_counter()
+            self._stage_hists[ENCODE].observe((encode_end - encode_start) * 1000.0)
+            # Closes the tree's encode child: the tree holds item.marks.
+            item.marks[ENCODE] = (encode_start, encode_end)
             self.recorder.record(
                 request_id=item.request_id,
                 verb=item.verb,
-                duration_s=time.perf_counter() - item.t_recv,
-                spans=spans,
+                duration_s=encode_end - item.t_recv,
+                spans=tree if tree is not None else (),
                 error=not ok,
             )
         finally:
@@ -663,37 +679,35 @@ class ClassificationServer:
             if self._inflight == 0:
                 self._idle.set()
 
-    def _request_spans(
-        self, item: _WorkItem, *, ok: bool
-    ) -> tuple[Span | None, tuple[Span, ...]]:
-        """The request's span tree, built retrospectively from stage marks.
+    def _request_spans(self, item: _WorkItem, *, ok: bool) -> SpanTree | None:
+        """Record the request's span tree, built retrospectively from marks.
 
         The pipeline crosses the event loop, a worker thread, and possibly
         an engine pool, so spans are recorded from ``perf_counter`` marks
         after the fact instead of via the contextvar stack.  The root
         parents on the client's wire-propagated span when one was sent.
-        Stage histograms (``serve.stage_ms.*``) are fed here too, so they
-        exist even with tracing off.
+        The tree is recorded before the send, so an in-process client
+        adopting the echo finds it already recorded; its last child is the
+        encode stage, which the caller closes once the response is out.
+        Returns ``None`` with tracing off.  Stage histograms
+        (``serve.stage_ms.*``) are fed here too, so they exist even with
+        tracing off.
         """
         now = time.perf_counter()
         stage_hists = self._stage_hists
-        for stage, (start, end) in item.marks.items():
+        marks = item.marks
+        for stage, (start, end) in marks.items():
             stage_hists[stage].observe((end - start) * 1000.0)
         if not TRACER.enabled:
-            return None, ()
-        span_names = self._stage_span_names
+            return None
+        marks[ENCODE] = (now, now)  # open until the response is sent
         return TRACER.record_tree(
             "serve.request",
             start=item.t_recv,
             end=now,
             parent=item.trace_parent,
             status="ok" if ok else "error",
-            children=(
-                (span_names[stage], start, end)
-                for stage, (start, end) in sorted(
-                    item.marks.items(), key=lambda entry: entry[1]
-                )
-            ),
+            children=marks,
             attributes={
                 "verb": item.verb,
                 "subject": item.subject,

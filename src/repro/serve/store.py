@@ -27,8 +27,11 @@ Design decisions, and why:
 * **WAL for sharing.**  WAL mode allows concurrent readers (other worker
   processes attached to the same file) while one writer appends; a busy
   timeout rides out writer collisions.  Within a process a single lock
-  serializes access — the store sits behind a batching window, so it is
-  never the hot path.
+  serializes access.  The server looks a request up at admission, on its
+  event loop, so :meth:`PersistentStore.get` is on the hot path of every
+  request: one indexed WAL read.  It can wait on that in-process lock
+  while a batch's write-through (:meth:`PersistentStore.put`) commits on
+  the dispatch thread.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from repro.obs.spans import (
     Span,
     SpanContext,
     SpanTracer,
+    SpanTree,
     TRACER,
     annotate,
     current_span,
@@ -152,6 +153,85 @@ def test_export_payloads_since_slices(tracer):
         pass
     payloads = tracer.export_payloads(since=mark)
     assert [p["name"] for p in payloads] == ["b"]
+
+
+def _stage_tree(tracer, parent=None):
+    return tracer.record_tree(
+        "request",
+        start=1.0,
+        end=4.0,
+        parent=parent,
+        children={"decode": (1.0, 2.0), "store": (2.0, 3.0), "encode": (4.0, 4.0)},
+        attributes={"verb": "classify"},
+    )
+
+
+def test_record_tree_unpacks_into_root_and_children(tracer):
+    tree = _stage_tree(tracer)
+    assert isinstance(tree, SpanTree)
+    assert len(tree) == len(tracer) == 4
+    root, *children = tracer.finished()
+    assert root is tree.root
+    assert (root.name, root.parent_id, root.attributes) == (
+        "request", None, {"verb": "classify"}
+    )
+    assert [c.name for c in children] == ["decode", "store", "encode"]
+    assert {c.parent_id for c in children} == {root.span_id}
+    assert {c.trace_id for c in children} == {root.trace_id}
+    assert len({s.span_id for s in (root, *children)}) == 4
+    assert [s.span_id for s in tree] == [s.span_id for s in (root, *children)]
+
+
+def test_record_tree_child_closed_later_shows_in_later_reads(tracer):
+    tree = _stage_tree(tracer)
+    tree.children["encode"] = (5.0, 7.0)
+    encode = tracer.finished()[-1]
+    assert (encode.name, encode.start, encode.end) == ("encode", 5.0, 7.0)
+
+
+def test_record_tree_disabled_and_over_capacity():
+    t = SpanTracer(capacity=5)
+    assert _stage_tree(t) is None
+    t.enable()
+    _stage_tree(t)
+    _stage_tree(t)  # 4 + 4 > 5: dropped whole
+    assert (len(t), t.dropped) == (4, 4)
+    with t.span("plain"):
+        pass
+    assert len(t) == 5
+
+
+def test_export_payloads_since_counts_tree_spans(tracer):
+    with tracer.span("a"):
+        pass
+    _stage_tree(tracer)
+    mark = len(tracer)
+    with tracer.span("b"):
+        pass
+    assert [p["name"] for p in tracer.export_payloads(since=mark)] == ["b"]
+    # A mark inside a tree starts at that span of the tree.
+    names = [p["name"] for p in tracer.export_payloads(since=3)]
+    assert names == ["store", "encode", "b"]
+    assert len(tracer.export_payloads()) == 6
+
+
+def test_adopt_skips_an_echoed_tree_recorded_here(tracer):
+    client = tracer.start_manual("client")
+    tree = _stage_tree(tracer, parent=client.context())
+    adopted = tracer.adopt([s.as_payload() for s in tree], client.context())
+    assert adopted == []
+    assert len(tracer) == 4
+
+
+def test_adopt_takes_a_tree_from_another_process(tracer):
+    server = SpanTracer()
+    server.enable()
+    server._nonce = "remote"  # as if minted under another pid
+    client = tracer.start_manual("client")
+    tree = _stage_tree(server, parent=client.context())
+    adopted = tracer.adopt([s.as_payload() for s in tree], client.context())
+    assert [s.name for s in adopted] == ["request", "decode", "store", "encode"]
+    assert adopted[0].parent_id == client.span_id
 
 
 def test_traced_decorator(tracer):

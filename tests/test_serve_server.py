@@ -327,3 +327,188 @@ class TestRestartDurability:
             client.recv()
         assert excinfo.value.retryable
         client.close()
+
+
+def _populate(store_path, formulas):
+    """One short server lifetime that computes and stores ``formulas``."""
+    handle = start_in_thread(
+        ServerConfig(port=0, store_path=str(store_path), window_ms=2.0),
+        metrics=MetricsRegistry(),
+    )
+    try:
+        with ServeClient.connect(port=handle.port) as client:
+            for formula in formulas:
+                client.classify(formula)
+    finally:
+        handle.stop()
+
+
+class TestStoreHitsAtAdmission:
+    """A store hit is answered at admission, on the event loop: it waits
+    for neither the batching window nor a batch already running."""
+
+    def test_hit_skips_the_batching_window(self, tmp_path):
+        handle = start_in_thread(
+            ServerConfig(port=0, store_path=str(tmp_path / "s.db"), window_ms=1000.0),
+            metrics=MetricsRegistry(),
+        )
+        try:
+            with ServeClient.connect(port=handle.port) as client:
+                first = client.recv_for(client.send("classify", formula="G p"))
+                assert first["cached"] is False
+                start = time.perf_counter()
+                second = client.recv_for(client.send("classify", formula="G p"))
+                elapsed = time.perf_counter() - start
+                assert second["cached"] is True
+                assert second["result"] == first["result"]
+                assert elapsed < 0.5  # the window is 1 s
+        finally:
+            handle.stop()
+
+    def test_hit_is_answered_while_a_batch_is_held(self, tmp_path, monkeypatch):
+        handle = start_in_thread(
+            ServerConfig(port=0, store_path=str(tmp_path / "s.db"), window_ms=2.0),
+            metrics=MetricsRegistry(),
+        )
+        entered, release = threading.Event(), threading.Event()
+        try:
+            with ServeClient.connect(port=handle.port) as warm, \
+                    ServeClient.connect(port=handle.port) as cold:
+                warm.classify("G p")
+                evaluate = handle.server._evaluate
+
+                def held(items):
+                    entered.set()
+                    assert release.wait(30)
+                    return evaluate(items)
+
+                monkeypatch.setattr(handle.server, "_evaluate", held)
+                miss = cold.send("classify", formula="F p")
+                assert entered.wait(10), "the miss never reached the engine"
+                hit = warm.recv_for(warm.send("classify", formula="G p"))
+                assert not release.is_set()
+                assert hit["ok"] is True and hit["cached"] is True
+                assert hit["result"]["class"] == "safety"
+                release.set()
+                done = cold.recv_for(miss)
+                assert done["ok"] is True and done["cached"] is False
+                assert done["result"]["class"] == "guarantee"
+        finally:
+            release.set()
+            handle.stop()
+
+    def test_draining_server_rejects_a_stored_formula(self, tmp_path):
+        store_path = tmp_path / "s.db"
+        _populate(store_path, ["G p"])
+        handle = start_in_thread(
+            ServerConfig(port=0, store_path=str(store_path), window_ms=1000.0),
+            metrics=MetricsRegistry(),
+        )
+        with ServeClient.connect(port=handle.port) as client:
+            inflight = client.send("classify", formula="G (p -> F q)")
+            time.sleep(0.2)  # let the miss enter the batching window
+            stopper = threading.Thread(target=handle.stop)
+            stopper.start()
+            time.sleep(0.2)  # let stop() flip the draining flag
+            late = client.recv_for(client.send("classify", formula="G p"))
+            assert late["ok"] is False
+            assert late["error"]["code"] == "draining"
+            assert client.recv_for(inflight)["ok"] is True
+            stopper.join(timeout=30)
+
+    def test_saturated_server_rejects_a_stored_formula(self, tmp_path):
+        store_path = tmp_path / "s.db"
+        _populate(store_path, ["G p"])
+        handle = start_in_thread(
+            ServerConfig(
+                port=0, store_path=str(store_path), max_inflight=1, window_ms=300.0
+            ),
+            metrics=MetricsRegistry(),
+        )
+        try:
+            with ServeClient.connect(port=handle.port) as client:
+                parked = client.send("classify", formula="F p")
+                rejected = client.recv_for(client.send("classify", formula="G p"))
+                assert rejected["ok"] is False
+                assert rejected["error"]["code"] == "overloaded"
+                assert client.recv_for(parked)["ok"] is True
+                # With the slot free again, the stored formula is a hit.
+                assert client.recv_for(client.send("classify", formula="G p"))["cached"]
+        finally:
+            handle.stop()
+
+    @pytest.mark.parametrize("broken", ["get", "connection"])
+    def test_store_error_at_admission_degrades_to_computing(self, tmp_path, broken):
+        import sqlite3
+
+        store_path = tmp_path / "s.db"
+        _populate(store_path, ["G p"])
+        metrics = MetricsRegistry()
+        handle = start_in_thread(
+            ServerConfig(port=0, store_path=str(store_path), window_ms=2.0),
+            metrics=metrics,
+        )
+        store = handle.server.store
+
+        def failing_get(key):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        class FailingReads:
+            def __init__(self, real):
+                self.real = real
+
+            def execute(self, sql, *args):
+                if sql.startswith("SELECT schema"):
+                    raise sqlite3.OperationalError("disk I/O error")
+                return self.real.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self.real, name)
+
+        if broken == "get":
+            store.get = failing_get
+        else:
+            store._conn = FailingReads(store._conn)
+        try:
+            with ServeClient.connect(port=handle.port) as client:
+                frame = client.recv_for(client.send("classify", formula="G p"))
+                assert frame["ok"] is True
+                assert frame["cached"] is False
+                assert frame["result"]["class"] == "safety"
+            assert metrics.counter("serve.store.errors").value == 1
+        finally:
+            handle.stop()
+
+    def test_one_lookup_per_request_and_miss_written_through(self, tmp_path):
+        handle = start_in_thread(
+            ServerConfig(port=0, store_path=str(tmp_path / "s.db"), window_ms=2.0),
+            metrics=MetricsRegistry(),
+        )
+        store = handle.server.store
+        lookups, writes = [], []
+        get, put = store.get, store.put
+
+        def counting_get(key):
+            lookups.append(threading.current_thread())
+            return get(key)
+
+        def counting_put(key, verb, payload):
+            writes.append(key)
+            put(key, verb, payload)
+
+        store.get, store.put = counting_get, counting_put
+        try:
+            with ServeClient.connect(port=handle.port) as client:
+                gpvw_before, safra_before = _derivations()
+                formula = "G F p -> F q"
+                first = client.recv_for(client.send("classify", formula=formula))
+                assert first["cached"] is False
+                assert (len(lookups), len(writes)) == (1, 1)
+                second = client.recv_for(client.send("classify", formula=formula))
+                assert second["cached"] is True
+                assert (len(lookups), len(writes)) == (2, 1)
+                assert _derivations() == (gpvw_before + 1, safra_before + 1)
+            # Both lookups ran at admission, on the event loop's thread.
+            assert lookups == [handle.thread, handle.thread]
+        finally:
+            handle.stop()

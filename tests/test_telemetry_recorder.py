@@ -105,13 +105,13 @@ class TestRecording:
 class TestDump:
     def test_dump_is_schema_valid(self, tracer, tmp_path):
         recorder = FlightRecorder()
-        root = tracer.record_span("serve.request", start=0.0, end=0.01)
-        child = tracer.record_span(
-            "serve.stage.decode", start=0.0, end=0.001, parent=root
+        tree = tracer.record_tree(
+            "serve.request",
+            start=0.0,
+            end=0.01,
+            children={"serve.stage.decode": (0.0, 0.001)},
         )
-        recorder.record(
-            request_id=1, verb="classify", duration_s=0.01, spans=(root, child)
-        )
+        recorder.record(request_id=1, verb="classify", duration_s=0.01, spans=tree)
         assert validate_jsonl_lines(recorder.dump_lines()) == []
         path = tmp_path / "dump.jsonl"
         count = recorder.dump(path)
@@ -123,17 +123,20 @@ class TestDump:
         recorder) must dump as a root, not as an orphaned child."""
         recorder = FlightRecorder()
         client_span = tracer.start_manual("serve.client.request")
-        root = tracer.record_span(
-            "serve.request", start=0.0, end=0.01, parent=client_span
+        tree = tracer.record_tree(
+            "serve.request", start=0.0, end=0.01, parent=client_span, children={}
         )
-        recorder.record(request_id=1, verb="classify", duration_s=0.01, spans=(root,))
+        root = tree.root
+        recorder.record(request_id=1, verb="classify", duration_s=0.01, spans=tree)
         assert validate_jsonl_lines(recorder.dump_lines()) == []
         # The in-memory span is untouched: only the dumped copy detaches.
         assert root.parent_id == client_span.span_id
 
     def test_dump_dedupes_across_rings(self, tracer):
         recorder = FlightRecorder(min_samples=1)
-        span = tracer.record_span("serve.request", start=0.0, end=0.01)
+        span = tracer.record_tree(
+            "serve.request", start=0.0, end=0.01, children={}
+        ).root
         # An errored request lands in both recent and notable.
         recorder.record(
             request_id=1, verb="classify", duration_s=0.01, spans=(span,), error=True

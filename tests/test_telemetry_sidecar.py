@@ -31,8 +31,8 @@ def full_sidecar():
     metrics.counter("serve.responses_ok").inc()
     recorder = FlightRecorder()
     TRACER.enable()
-    root = TRACER.record_span("serve.request", start=0.0, end=0.01)
-    recorder.record(request_id=1, verb="classify", duration_s=0.01, spans=(root,))
+    tree = TRACER.record_tree("serve.request", start=0.0, end=0.01, children={})
+    recorder.record(request_id=1, verb="classify", duration_s=0.01, spans=tree)
     TRACER.disable()
     TRACER.clear()
     state = {"draining": False}
